@@ -9,7 +9,7 @@ for full preorder enumeration.
 
 import os
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ValidationError
 
 HARD_TABLE_CAP = 20
 SOFT_ENUM_CAP = 12
@@ -24,9 +24,12 @@ def soft_cap(override=None):
     if override is not None:
         return min(int(override), HARD_TABLE_CAP)
     env = os.environ.get(_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return SOFT_ENUM_CAP
+    try:
         return min(int(env), HARD_TABLE_CAP)
-    return SOFT_ENUM_CAP
+    except ValueError:
+        raise ValidationError(f"{_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def check_table(n):

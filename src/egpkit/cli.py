@@ -8,11 +8,10 @@ writes deterministic output to standard output. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
-from . import caps, io
+from . import io
 from .conform import (
     closure,
     conforming_preorders,
@@ -53,11 +52,6 @@ def _emit(args, json_doc, text_lines):
     else:
         for line in text_lines:
             print(line)
-
-
-def _apply_max_n(args):
-    if getattr(args, "max_n", None) is not None:
-        os.environ[caps._ENV_VAR] = str(args.max_n)
 
 
 def cmd_check(args):
@@ -156,7 +150,7 @@ def cmd_chi(args):
 
 def cmd_ehrhart(args):
     P = _read_doc(args.input, Preorder)
-    p = ehr(P) if args.weak else ehr_star(P)
+    p = (ehr if args.weak else ehr_star)(P, max_n=args.max_n)
     name = "ehr" if args.weak else "ehr*"
     _emit(args, io.polynomial_to_doc(p), [f"{name} = {io.poly_text(p)}"])
     return 0
@@ -372,7 +366,6 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_max_n(args)
     try:
         return _HANDLERS[args.command](args)
     except CapExceeded as e:

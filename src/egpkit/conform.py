@@ -317,13 +317,12 @@ def enumerate_faces(z: SubmodFn, max_n=None) -> FaceLattice:
 
 
 def min_faces(z: SubmodFn, max_n=None):
-    """Faces whose preorders are minimal under refinement (smallest faces)."""
+    """The smallest faces. They all translate the lineality space, so they
+    are the faces of minimum dimension: the most bubbles."""
     pres = conforming_preorders(z, max_n)
-    out = []
-    for P in pres:
-        if not any(Q != P and preorder_leq(Q, P) for Q in pres):
-            out.append(Face(z, P))
-    return out
+    sizes = [len(bubble_masks(P)) for P in pres]
+    most = max(sizes, default=0)
+    return [Face(z, P) for P, k in zip(pres, sizes) if k == most]
 
 
 def glue(z: SubmodFn, s_mask: int, P1: Preorder, P2: Preorder) -> Preorder:

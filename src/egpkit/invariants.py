@@ -9,11 +9,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
+from . import caps
 from .conform import min_faces, pre_of
 from .errors import ValidationError
 from .generators import Matroid
 from .ground import bit_indices, submasks
-from .preorders import Preorder, bubble_masks
+from .preorders import Preorder, downset_masks
 from .submod import SubmodFn, is_modular
 
 
@@ -93,73 +94,49 @@ class RationalPoly:
             out.pop()
         return out
 
+    @classmethod
+    def from_binomial(cls, cs) -> "RationalPoly":
+        """The polynomial k -> sum of cs[j] * C(k, j); inverse of binomial_basis."""
+        out = cls([])
+        binom = cls([1])  # C(k, j) for the current j
+        for j, c in enumerate(cs):
+            out = out + binom * Fraction(c)
+            binom = binom * cls([Fraction(-j, j + 1), Fraction(1, j + 1)])
+        return out
+
     def __repr__(self):
         return f"RationalPoly({[str(c) for c in self.coeffs]})"
 
 
-def lagrange(points) -> RationalPoly:
-    """Exact interpolation through (x, y) pairs with distinct x."""
-    out = RationalPoly([])
-    for i, (xi, yi) in enumerate(points):
-        term = RationalPoly([Fraction(yi)])
-        for j, (xj, _) in enumerate(points):
-            if i == j:
+def _chain_counts(P: Preorder, strict: bool):
+    """c[j] = chains of down-sets from the empty set to the whole ground set
+    with j proper steps. Under strict, no step holds two elements one
+    strictly below the other."""
+    dn = P.dn_rows()
+    ds = downset_masks(P)
+    counts = [[1] + [0] * P.ground.n]
+    for b in ds[1:]:
+        row = [0] * (P.ground.n + 1)
+        for a, prev in zip(ds, counts):  # the down-sets before b
+            s = b & ~a
+            if a & ~b or strict and any(dn[i] & s & ~P.up[i] for i in bit_indices(s)):
                 continue
-            denom = Fraction(xi) - Fraction(xj)
-            term = term * RationalPoly([Fraction(-xj) / denom, Fraction(1) / denom])
-        out = out + term
-    return out
+            for j, c in enumerate(prev[:-1]):
+                row[j + 1] += c
+        counts.append(row)
+    return counts[-1]
 
 
-def _bubble_strict_pairs(P: Preorder):
-    bubs = bubble_masks(P)
-    reps = [next(bit_indices(b)) for b in bubs]
-    pairs = []
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            if i != j and P.leq_idx(ri, rj) and not P.leq_idx(rj, ri):
-                pairs.append((i, j))
-    return len(bubs), pairs
+def ehr_star(P: Preorder, max_n=None) -> RationalPoly:
+    """k -> maps from the bubbles into 1..k, strictly decreasing along P."""
+    caps.check_enum(P.ground.n, caps.soft_cap(max_n), "Ehrhart count")
+    return RationalPoly.from_binomial(_chain_counts(P, strict=True))
 
 
-def _count_strict(P, k):
-    """Maps from bubbles into 1..k, strictly decreasing along the order."""
-    d, pairs = _bubble_strict_pairs(P)
-    count = 0
-    for h in iproduct(range(1, k + 1), repeat=d):
-        if all(h[i] > h[j] for i, j in pairs):
-            count += 1
-    return count
-
-
-def _count_weak(P, k):
-    """Maps from bubbles into 0..k, weakly decreasing along the order."""
-    d, pairs = _bubble_strict_pairs(P)
-    count = 0
-    for h in iproduct(range(k + 1), repeat=d):
-        if all(h[i] >= h[j] for i, j in pairs):
-            count += 1
-    return count
-
-
-def ehr_star(P: Preorder) -> RationalPoly:
-    d = len(bubble_masks(P))
-    pts = [(k, _count_strict(P, k)) for k in range(1, d + 2)]
-    poly = lagrange(pts)
-    assert poly.degree <= d
-    for k in (d + 2, d + 3):
-        assert poly.eval_at(k) == _count_strict(P, k), "interpolation drift"
-    return poly
-
-
-def ehr(P: Preorder) -> RationalPoly:
-    d = len(bubble_masks(P))
-    pts = [(k, _count_weak(P, k)) for k in range(d + 1)]
-    poly = lagrange(pts)
-    assert poly.degree <= d
-    for k in (d + 1, d + 2):
-        assert poly.eval_at(k) == _count_weak(P, k), "interpolation drift"
-    return poly
+def ehr(P: Preorder, max_n=None) -> RationalPoly:
+    """k -> maps from the bubbles into 0..k, weakly decreasing along P."""
+    caps.check_enum(P.ground.n, caps.soft_cap(max_n), "Ehrhart count")
+    return RationalPoly.from_binomial(_chain_counts(P, strict=False)).compose_linear(1, 1)
 
 
 def chi(z: SubmodFn, max_n=None) -> RationalPoly:

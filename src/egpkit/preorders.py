@@ -372,60 +372,18 @@ def is_subdivision_convex(R: Preorder, P: Preorder) -> bool:
     return True
 
 
-def _contraction_fixpoint(P: Preorder, Q: Preorder) -> bool:
+def is_contraction(P: Preorder, Q: Preorder) -> bool:
+    """Fixpoint test: P refines Q and Q equals P join (P-opposite meet Q)."""
+    _same_ground(P, Q)
     if not preorder_leq(P, Q):
         return False
     return join(P, meet(opposite(P), Q)) == Q
-
-
-def _contraction_bubbles(P: Preorder, Q: Preorder) -> bool:
-    if not preorder_leq(P, Q):
-        return False
-    qb = bubble_masks(Q)
-    for b in qb:
-        if not is_connected(restrict_preorder(P, b)):
-            return False
-    # every cover among Q-bubbles needs a strict P-relation witness
-    for b1 in qb:
-        for b2 in qb:
-            if b1 == b2 or not _bubble_cover(Q, qb, b1, b2):
-                continue
-            if not any(
-                P.strictly_below_idx(i, j)
-                for i in bit_indices(b1)
-                for j in bit_indices(b2)
-            ):
-                return False
-    return True
 
 
 def _bubble_leq(Q, b1, b2):
     i = next(bit_indices(b1))
     j = next(bit_indices(b2))
     return Q.leq_idx(i, j)
-
-
-def _bubble_cover(Q, qb, b1, b2):
-    if not (_bubble_leq(Q, b1, b2) and not _bubble_leq(Q, b2, b1)):
-        return False
-    for b in qb:
-        if b in (b1, b2):
-            continue
-        if (
-            _bubble_leq(Q, b1, b) and not _bubble_leq(Q, b, b1)
-            and _bubble_leq(Q, b, b2) and not _bubble_leq(Q, b2, b)
-        ):
-            return False
-    return True
-
-
-def is_contraction(P: Preorder, Q: Preorder) -> bool:
-    """Both the structural and the fixpoint tests, with an agreement trap."""
-    _same_ground(P, Q)
-    a = _contraction_bubbles(P, Q)
-    b = _contraction_fixpoint(P, Q)
-    assert a == b, f"contraction tests disagree on {P!r} vs {Q!r}"
-    return a
 
 
 def enumerate_preorders(ground: GroundSet, max_n=None):

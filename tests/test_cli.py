@@ -213,3 +213,31 @@ def test_oracle_passes(capsys):
     code, out, _ = run(capsys, ["oracle"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_max_n_leaves_no_state(capsys, tmp_path):
+    # a flag on one in-process call must not cap a later call without it
+    path = hexagon_doc(tmp_path)
+    code, _, err = run(capsys, ["faces", "--max-n", "2", path])
+    assert code == 2 and "error:" in err
+    code, out, _ = run(capsys, ["min-faces", path])
+    assert code == 0
+    assert len(json.loads(out)["faces"]) == 6
+    assert "EGPKIT_MAX_N" not in os.environ
+
+
+def test_cap_env_must_be_an_integer(capsys, tmp_path, monkeypatch):
+    path = hexagon_doc(tmp_path)
+    monkeypatch.setenv("EGPKIT_MAX_N", "abc")
+    code, out, err = run(capsys, ["min-faces", path])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "EGPKIT_MAX_N" in err
+
+
+def test_ehrhart_honours_max_n(capsys, tmp_path, abc):
+    path = tmp_path / "p.json"
+    path.write_text(dump_document(preorder_to_doc(chain(abc))))
+    code, _, err = run(capsys, ["ehrhart", str(path), "--max-n", "2"])
+    assert code == 2 and "error:" in err
+    code, _, _ = run(capsys, ["ehrhart", "--weak", str(path), "--max-n", "3"])
+    assert code == 0

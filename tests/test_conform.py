@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from egpkit import (
     INF,
+    SubmodFn,
     ValidationError,
     chain,
     closure,
@@ -17,12 +20,19 @@ from egpkit import (
     fin,
     from_relations,
     glue,
+    graph_building_set,
+    graphic_matroid,
     is_compatible,
     is_conforming,
     low_of,
+    matroid_rank,
     min_faces,
+    minkowski,
+    nestohedron,
+    permutahedron,
     pre_of,
     preorder_leq,
+    uniform_matroid,
     z_of_convex,
 )
 from egpkit.preorders import (
@@ -185,6 +195,37 @@ def test_min_faces_of_hexagon(hexagon):
     for f in faces:
         assert f.dim == 0
         assert f.P.is_total()
+
+
+def _refinement_minimal(z):
+    """Conforming preorders with no other conforming preorder refining them:
+    the definition of the smallest faces, the oracle for min_faces."""
+    pres = conforming_preorders(z)
+    return [P for P in pres if not any(Q != P and preorder_leq(Q, P) for Q in pres)]
+
+
+def test_min_faces_are_refinement_minimal(abc, hexagon, pentagon):
+    g4 = GroundSet(["a", "b", "c", "d"])
+    corpus = [
+        hexagon,
+        pentagon,
+        permutahedron([4, 3, 2, 1]),
+        matroid_rank(uniform_matroid(2, 4)),
+        matroid_rank(graphic_matroid([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])),
+        nestohedron(graph_building_set(g4, [("a", "b"), ("b", "c"), ("c", "d")])),
+    ]
+    corpus += [low_of(P) for P in enumerate_preorders(abc)]
+    rng = random.Random(5)
+    for ground in (abc, g4) * 4:
+        supports = {rng.randrange(1, ground.full + 1) for _ in range(rng.randint(3, ground.n + 2))}
+        mink = minkowski(ground, {m: rng.randint(1, 9) for m in sorted(supports)})
+        pairs = [
+            (a, b) for a in ground.labels for b in ground.labels if a != b and rng.random() < 0.3
+        ]
+        cone = low_of(from_relations(ground, pairs))
+        corpus += [mink, cone, SubmodFn(ground, [a + b for a, b in zip(mink.table, cone.table)])]
+    for z in corpus:
+        assert [f.P for f in min_faces(z)] == _refinement_minimal(z)
 
 
 def test_min_faces_of_low(abc):

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from egpkit import (
+    CapExceeded,
     GroundSet,
     RationalPoly,
     ValidationError,
@@ -21,8 +24,97 @@ from egpkit import (
     uniform_matroid,
     matroid_rank,
 )
-from egpkit.invariants import lagrange
+from egpkit.ground import bit_indices
+from egpkit.preorders import Preorder, bubble_masks
 from conftest import cardinality_fn
+
+
+# The brute-force route to the Ehrhart counts, the oracle for the chain
+# count over down-sets: count maps at d+1 points, interpolate, and check
+# two more points.
+
+def lagrange(points) -> RationalPoly:
+    """Exact interpolation through (x, y) pairs with distinct x."""
+    out = RationalPoly([])
+    for i, (xi, yi) in enumerate(points):
+        term = RationalPoly([Fraction(yi)])
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            denom = Fraction(xi) - Fraction(xj)
+            term = term * RationalPoly([Fraction(-xj) / denom, Fraction(1) / denom])
+        out = out + term
+    return out
+
+
+def _bubble_strict_pairs(P: Preorder):
+    bubs = bubble_masks(P)
+    reps = [next(bit_indices(b)) for b in bubs]
+    pairs = []
+    for i, ri in enumerate(reps):
+        for j, rj in enumerate(reps):
+            if i != j and P.leq_idx(ri, rj) and not P.leq_idx(rj, ri):
+                pairs.append((i, j))
+    return len(bubs), pairs
+
+
+def _count_strict(P, k):
+    """Maps from bubbles into 1..k, strictly decreasing along the order."""
+    d, pairs = _bubble_strict_pairs(P)
+    count = 0
+    for h in iproduct(range(1, k + 1), repeat=d):
+        if all(h[i] > h[j] for i, j in pairs):
+            count += 1
+    return count
+
+
+def _count_weak(P, k):
+    """Maps from bubbles into 0..k, weakly decreasing along the order."""
+    d, pairs = _bubble_strict_pairs(P)
+    count = 0
+    for h in iproduct(range(k + 1), repeat=d):
+        if all(h[i] >= h[j] for i, j in pairs):
+            count += 1
+    return count
+
+
+def brute_ehr_star(P: Preorder) -> RationalPoly:
+    d = len(bubble_masks(P))
+    pts = [(k, _count_strict(P, k)) for k in range(1, d + 2)]
+    poly = lagrange(pts)
+    assert poly.degree <= d
+    for k in (d + 2, d + 3):
+        assert poly.eval_at(k) == _count_strict(P, k), "interpolation drift"
+    return poly
+
+
+def brute_ehr(P: Preorder) -> RationalPoly:
+    d = len(bubble_masks(P))
+    pts = [(k, _count_weak(P, k)) for k in range(d + 1)]
+    poly = lagrange(pts)
+    assert poly.degree <= d
+    for k in (d + 1, d + 2):
+        assert poly.eval_at(k) == _count_weak(P, k), "interpolation drift"
+    return poly
+
+
+def random_bubbled_preorder(ground, bubbles, rng):
+    """Exactly `bubbles` classes: a random partition of the ground set, then
+    random relations between classes along the order of the partition."""
+    idx = list(range(ground.n))
+    rng.shuffle(idx)
+    cuts = sorted(rng.sample(range(1, ground.n), bubbles - 1))
+    parts = [idx[a:b] for a, b in zip([0] + cuts, cuts + [ground.n])]
+    labels = ground.labels
+    pairs = []
+    for part in parts:
+        pairs += [(labels[part[0]], labels[j]) for j in part]
+        pairs += [(labels[j], labels[part[0]]) for j in part]
+    for a in range(bubbles):
+        for b in range(a + 1, bubbles):
+            if rng.random() < 0.4:
+                pairs.append((labels[parts[a][0]], labels[parts[b][0]]))
+    return from_relations(ground, pairs)
 
 
 def test_poly_arithmetic():
@@ -49,11 +141,45 @@ def test_binomial_basis():
     # k^2 = 2*C(k,2) + C(k,1)
     assert RationalPoly([0, 0, 1]).binomial_basis() == [0, 1, 2]
     assert RationalPoly([0, 2, -3, 1]).binomial_basis() == [0, 0, 0, 6]
+    for p in [
+        RationalPoly([]),
+        RationalPoly([7]),
+        RationalPoly([0, 2, -3, 1]),
+        RationalPoly([Fraction(1, 3), -2, 0, Fraction(5, 7), 1]),
+    ]:
+        assert RationalPoly.from_binomial(p.binomial_basis()) == p
+    assert RationalPoly.from_binomial([0, 1, 2]) == RationalPoly([0, 0, 1])
 
 
 def test_lagrange():
     p = lagrange([(0, 1), (1, 2), (2, 5)])
     assert p.coeffs == (1, 0, 1)  # k^2 + 1
+
+
+def test_chain_count_matches_brute_force_on_small_preorders():
+    for n in range(5):
+        for P in enumerate_preorders(GroundSet([chr(97 + i) for i in range(n)])):
+            assert ehr_star(P) == brute_ehr_star(P)
+            assert ehr(P) == brute_ehr(P)
+
+
+def test_chain_count_matches_brute_force_on_seeded_preorders():
+    rng = random.Random(20241)
+    for n in (5, 6):
+        ground = GroundSet([chr(97 + i) for i in range(n)])
+        for d in range(1, n + 1):
+            P = random_bubbled_preorder(ground, d, rng)
+            assert len(bubble_masks(P)) == d
+            assert ehr_star(P) == brute_ehr_star(P)
+            assert ehr(P) == brute_ehr(P)
+
+
+def test_ehrhart_cap(abc):
+    P = chain(abc)
+    for count in (ehr_star, ehr):
+        with pytest.raises(CapExceeded):
+            count(P, max_n=2)
+        assert count(P, max_n=3) == count(P)
 
 
 def test_ehr_star_chain():

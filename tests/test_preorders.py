@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from egpkit import (
@@ -28,11 +30,14 @@ from egpkit import (
     preorder_leq,
     subdivisions,
 )
+from egpkit.ground import bit_indices
 from egpkit.preorders import (
+    _bubble_leq,
     convex_masks,
     downset_masks,
     from_blocks,
     is_convex,
+    is_connected,
     is_downset,
     is_subdivision_admissible,
     is_subdivision_convex,
@@ -205,6 +210,64 @@ def test_contraction_example(abc):
     assert is_contraction(P, Q)
     assert not is_contraction(P, coarse(abc))  # no strict witness below c
     assert is_contraction(chain(abc), coarse(abc))
+
+
+# The structural contraction test, the oracle for the fixpoint test in
+# is_contraction: P refines Q, every Q-bubble is connected in P, and every
+# cover between Q-bubbles has a strict P-relation as witness.
+
+def _contraction_bubbles(P: Preorder, Q: Preorder) -> bool:
+    if not preorder_leq(P, Q):
+        return False
+    qb = bubble_masks(Q)
+    for b in qb:
+        if not is_connected(restrict_preorder(P, b)):
+            return False
+    # every cover among Q-bubbles needs a strict P-relation witness
+    for b1 in qb:
+        for b2 in qb:
+            if b1 == b2 or not _bubble_cover(Q, qb, b1, b2):
+                continue
+            if not any(
+                P.strictly_below_idx(i, j)
+                for i in bit_indices(b1)
+                for j in bit_indices(b2)
+            ):
+                return False
+    return True
+
+
+def _bubble_cover(Q, qb, b1, b2):
+    if not (_bubble_leq(Q, b1, b2) and not _bubble_leq(Q, b2, b1)):
+        return False
+    for b in qb:
+        if b in (b1, b2):
+            continue
+        if (
+            _bubble_leq(Q, b1, b) and not _bubble_leq(Q, b, b1)
+            and _bubble_leq(Q, b, b2) and not _bubble_leq(Q, b2, b)
+        ):
+            return False
+    return True
+
+
+def test_contraction_routes_agree():
+    for n in range(4):
+        pres = enumerate_preorders(GroundSet([chr(97 + i) for i in range(n)]))
+        for P in pres:
+            for Q in pres:
+                assert is_contraction(P, Q) == _contraction_bubbles(P, Q), (P, Q)
+    # on 4 points, Q is coarsened to a join with P so that P refines it
+    pres = enumerate_preorders(GroundSet(["a", "b", "c", "d"]))
+    rng = random.Random(4355)
+    hits = 0
+    for _ in range(2000):
+        P = rng.choice(pres)
+        Q = join(P, rng.choice(pres))
+        fast = is_contraction(P, Q)
+        assert fast == _contraction_bubbles(P, Q), (P, Q)
+        hits += fast
+    assert 0 < hits < 2000
 
 
 def test_galois_bijection(abc):
