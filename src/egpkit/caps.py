@@ -4,7 +4,7 @@ Every core algorithm is exponential in the ground-set size, so failure
 modes are made explicit: a hard cap of 20 on value tables (2^20 entries),
 a soft default of 12 for enumeration-heavy operations which can be raised
 via argument or the EGPKIT_MAX_N environment variable, and tighter caps
-for full preorder enumeration.
+for full preorder enumeration, which an argument may only lower.
 """
 
 import os
@@ -30,6 +30,13 @@ def soft_cap(override=None):
         return min(int(env), HARD_TABLE_CAP)
     except ValueError:
         raise ValidationError(f"{_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+def preorder_cap(override=None):
+    """Cap of full preorder enumeration: an explicit override may only lower it."""
+    if override is None:
+        return PREORDER_ENUM_CAP
+    return min(int(override), PREORDER_ENUM_CAP)
 
 
 def check_table(n):

@@ -185,7 +185,7 @@ def _building_set(members):
 
 def cmd_bforests(args):
     B = _building_set(args.members)
-    forests = b_forests(B)
+    forests = b_forests(B, max_n=args.max_n)
     doc = {
         "kind": "formalsum",
         "terms": [

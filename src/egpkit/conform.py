@@ -27,9 +27,22 @@ from .values import INF, ZERO
 
 
 def pre_of(z: SubmodFn) -> Preorder:
-    """The preorder whose down-sets are exactly the finite-valued subsets."""
+    """The preorder whose down-sets are exactly the finite-valued subsets.
+
+    The down-set of j is the intersection of the finite sets that contain
+    j. Every finite set is then a down-set, so the finite sets are all of
+    them exactly when the two counts agree.
+    """
+    n = z.ground.n
     finite = [m for m in z.ground.subsets() if z.table[m].is_finite]
-    return preo_of(DownSetFamily(z.ground, finite))
+    dn = [z.ground.full] * n
+    for m in finite:
+        for j in bit_indices(m):
+            dn[j] &= m
+    P = Preorder(z.ground, [sum(1 << j for j in range(n) if dn[j] >> i & 1) for i in range(n)])
+    if len(downset_masks(P)) != len(finite):
+        raise ValidationError("family not closed under union/intersection")
+    return P
 
 
 def cpre_of(z: SubmodFn) -> Preorder:

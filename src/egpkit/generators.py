@@ -305,8 +305,7 @@ def is_b_forest(P: Preorder, B: BuildingSet) -> bool:
 
 
 def b_forests(B: BuildingSet, max_n=None):
-    caps.check_enum(B.ground.n, caps.PREORDER_ENUM_CAP if max_n is None else max_n,
-                    "forest enumeration")
+    caps.check_enum(B.ground.n, caps.preorder_cap(max_n), "forest enumeration")
     return [P for P in enumerate_preorders(B.ground, max_n) if is_b_forest(P, B)]
 
 

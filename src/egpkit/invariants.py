@@ -7,14 +7,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial, lcm
 
 from . import caps
-from .conform import min_faces, pre_of
+from .conform import pre_of
 from .errors import ValidationError
 from .generators import Matroid
 from .ground import bit_indices, submasks
-from .preorders import Preorder, downset_masks
+from .preorders import Preorder, bubble_masks, downset_masks
 from .submod import SubmodFn, is_modular
 
 
@@ -97,12 +97,16 @@ class RationalPoly:
     @classmethod
     def from_binomial(cls, cs) -> "RationalPoly":
         """The polynomial k -> sum of cs[j] * C(k, j); inverse of binomial_basis."""
-        out = cls([])
-        binom = cls([1])  # C(k, j) for the current j
+        den = factorial(max(len(cs) - 1, 0))
+        out = [0] * len(cs)  # times den, so that integer counts stay integers
+        falling = [1]  # k(k-1)...(k-j+1) = j! * C(k, j), lowest degree first
         for j, c in enumerate(cs):
-            out = out + binom * Fraction(c)
-            binom = binom * cls([Fraction(-j, j + 1), Fraction(1, j + 1)])
-        return out
+            if j:
+                falling = [a - (j - 1) * b for a, b in zip([0] + falling, falling + [0])]
+            w = c * (den // factorial(j))
+            for i, f in enumerate(falling):
+                out[i] += w * f
+        return cls([Fraction(x, den) for x in out])
 
     def __repr__(self):
         return f"RationalPoly({[str(c) for c in self.coeffs]})"
@@ -140,10 +144,47 @@ def ehr(P: Preorder, max_n=None) -> RationalPoly:
 
 
 def chi(z: SubmodFn, max_n=None) -> RationalPoly:
-    out = RationalPoly([])
-    for f in min_faces(z, max_n):
-        out = out + ehr_star(f.P)
-    return out
+    """Foissy's canonical polynomial: k -> chains of subsets from the empty
+    set to the ground set with k steps, every step's minor having basic
+    character 1 (the count that `chi_character` takes term by term).
+
+    z must be submodular. A step from a to b is then good exactly when a
+    is finite and b minus a is a union of bubbles K of `pre_of(z)`, each
+    disjoint from a with its strict down-set inside a, over which z is
+    additive: z(b) - z(a) is the sum of z(a | K) - z(a). Additivity
+    passes to subsets, so a walk from a that adds bubbles in index order
+    meets every good step through good prefixes. The strict chains of good
+    steps are counted by length, and chi is the polynomial with those
+    counts as binomial coefficients.
+    """
+    n = z.ground.n
+    caps.check_enum(n, caps.soft_cap(max_n), "chi")
+    qs = [v.q for v in z.table]
+    den = lcm(*(q.denominator for q in qs if q is not None))
+    t = [None if q is None else q.numerator * (den // q.denominator) for q in qs]
+    P = pre_of(z)
+    dn = P.dn_rows()
+    bubbles = [(b, dn[next(bit_indices(b))] & ~b) for b in bubble_masks(P)]  # strict down-sets
+    counts = [None] * (1 << n)  # counts[b][j]: strict good chains to b with j steps
+    counts[0] = [1] + [0] * n
+    for a, row in enumerate(counts):  # every step goes up, so row is complete
+        if row is None:
+            continue
+        step = [0] + row[:-1]
+        ta = t[a]
+        free = [(k, t[a | k] - ta) for k, below in bubbles if not k & a and not below & ~a]
+        stack = [(0, 0, 0)]  # (next bubble, bubbles taken as a mask, their sum)
+        while stack:
+            start, d, s = stack.pop()
+            for i in range(start, len(free)):
+                k, w = free[i]
+                b = a | d | k
+                if t[b] - ta != s + w:
+                    continue
+                old = counts[b]
+                counts[b] = step if old is None else [x + y for x, y in zip(old, step)]
+                stack.append((i + 1, d | k, s + w))
+    return RationalPoly.from_binomial(counts[z.ground.full])
 
 
 def _basic_character(z: SubmodFn) -> int:

@@ -393,8 +393,7 @@ def enumerate_preorders(ground: GroundSet, max_n=None):
     consistency condition (j in D_i forces D_j inside D_i) is exactly
     reflexivity plus transitivity.
     """
-    cap = caps.PREORDER_ENUM_CAP if max_n is None else max_n
-    caps.check_enum(ground.n, cap, "preorder enumeration")
+    caps.check_enum(ground.n, caps.preorder_cap(max_n), "preorder enumeration")
     n = ground.n
     out = []
     dn = [0] * n

@@ -169,6 +169,15 @@ def test_bforests(capsys):
     assert "forests: 11" in out
 
 
+def test_bforests_honours_max_n(capsys):
+    argv = ["bforests", "a", "b", "c", "a,b", "b,c", "a,b,c"]
+    code, out, err = run(capsys, argv + ["--max-n", "1"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "error:" in err
+    code, out, _ = run(capsys, argv + ["--max-n", "3", "--format", "text"])
+    assert code == 0 and "forests: 11" in out
+
+
 def test_gen_families(capsys):
     code, out, _ = run(capsys, ["gen", "matroid-rank", "uniform:2,3"])
     assert code == 0
@@ -241,3 +250,15 @@ def test_ehrhart_honours_max_n(capsys, tmp_path, abc):
     assert code == 2 and "error:" in err
     code, _, _ = run(capsys, ["ehrhart", "--weak", str(path), "--max-n", "3"])
     assert code == 0
+
+
+def test_chi_honours_max_n(capsys, tmp_path):
+    from egpkit import permutahedron
+
+    path = tmp_path / "p4.json"
+    path.write_text(dump_document(submodfn_to_doc(permutahedron([4, 3, 2, 1]))))
+    code, out, err = run(capsys, ["chi", str(path), "--max-n", "3"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "error:" in err
+    code, out, _ = run(capsys, ["chi", str(path), "--max-n", "4"])
+    assert code == 0 and json.loads(out)["kind"] == "polynomial"

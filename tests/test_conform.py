@@ -36,12 +36,14 @@ from egpkit import (
     z_of_convex,
 )
 from egpkit.preorders import (
+    DownSetFamily,
     GroundSet,
     component_masks,
     bubble_masks,
     downset_masks,
     enumerate_total_preorders,
     from_blocks,
+    preo_of,
 )
 
 
@@ -52,6 +54,37 @@ def vpo(abc):
 def test_pre_of_inverts_low(abc):
     for P in enumerate_preorders(abc):
         assert pre_of(low_of(P)) == P
+
+
+def _pre_of_by_family(z):
+    """The family route to pre_of, its oracle: validate the finite sets as
+    a topology pairwise, then read the preorder off them."""
+    finite = [m for m in z.ground.subsets() if z.table[m].is_finite]
+    return preo_of(DownSetFamily(z.ground, finite))
+
+
+def _outcome(route, z):
+    try:
+        return route(z)
+    except ValidationError as e:
+        return str(e)
+
+
+def test_pre_of_matches_family_route():
+    zs = []
+    for n in range(5):
+        zs += [low_of(P) for P in enumerate_preorders(GroundSet([chr(97 + i) for i in range(n)]))]
+    rng = random.Random(12)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        inner = [INF if rng.random() < 0.5 else fin(rng.randint(-3, 3)) for _ in range((1 << n) - 2)]
+        zs.append(SubmodFn(GroundSet([chr(97 + i) for i in range(n)]), [fin(0)] + inner + [fin(1)]))
+    raised = 0
+    for z in zs:
+        got = _outcome(pre_of, z)
+        assert got == _outcome(_pre_of_by_family, z), z
+        raised += isinstance(got, str)
+    assert 100 < raised < len(zs) - 400
 
 
 def test_pre_of_finite_function_is_discrete(hexagon):

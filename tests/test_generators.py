@@ -2,6 +2,7 @@ import pytest
 
 from egpkit import (
     BuildingSet,
+    CapExceeded,
     GroundSet,
     Matroid,
     ValidationError,
@@ -162,6 +163,17 @@ def test_b_forests_discrete():
     B = BuildingSet(g, [0b01, 0b10])
     forests = b_forests(B)
     assert forests == [discrete(g)]
+
+
+def test_b_forests_max_n_cannot_lift_the_cap(abc):
+    g = GroundSet([chr(97 + i) for i in range(7)])
+    B = BuildingSet(g, [1 << i for i in range(7)])
+    with pytest.raises(CapExceeded):
+        b_forests(B, max_n=7)
+    path = graph_building_set(abc, [("a", "b"), ("b", "c")])
+    with pytest.raises(CapExceeded):
+        b_forests(path, max_n=2)
+    assert len(b_forests(path, max_n=3)) == 11
 
 
 def test_preorder_cone_is_low(abc):

@@ -14,11 +14,15 @@ from egpkit import (
     chi,
     chi_character,
     coarse,
+    discrete,
     ehr,
     ehr_star,
     enumerate_preorders,
     from_relations,
+    full_coproduct,
+    internal_delta,
     low_of,
+    min_faces,
     permutahedron,
     product,
     uniform_matroid,
@@ -26,7 +30,8 @@ from egpkit import (
 )
 from egpkit.ground import bit_indices
 from egpkit.preorders import Preorder, bubble_masks
-from conftest import cardinality_fn
+from conftest import FAMILIES, cardinality_fn, family
+from test_acceptance import big_corpus, small_corpus
 
 
 # The brute-force route to the Ehrhart counts, the oracle for the chain
@@ -96,6 +101,15 @@ def brute_ehr(P: Preorder) -> RationalPoly:
     for k in (d + 1, d + 2):
         assert poly.eval_at(k) == _count_weak(P, k), "interpolation drift"
     return poly
+
+
+def chi_by_faces(z) -> RationalPoly:
+    """The face route to chi, the oracle for the chain count over additive
+    minors: the strict Ehrhart counts of the smallest faces, summed."""
+    out = RationalPoly([])
+    for f in min_faces(z):
+        out = out + ehr_star(f.P)
+    return out
 
 
 def random_bubbled_preorder(ground, bubbles, rng):
@@ -277,3 +291,84 @@ def test_bjr_matches_chi():
         p = chi(matroid_rank(M))
         for n in range(5):
             assert bjr_count(M, n) == p.eval_at(n)
+
+
+def _letters(n):
+    return GroundSet([chr(97 + i) for i in range(n)])
+
+
+def test_chi_matches_face_route_on_corpora():
+    # every cone on at most 3 points and a seeded sixth of those on 4: the
+    # face route costs about 7 ms per 4-point cone
+    cones4 = enumerate_preorders(_letters(4))
+    zs = small_corpus() + big_corpus()
+    for n in range(4):
+        zs += [low_of(P) for P in enumerate_preorders(_letters(n))]
+    zs += [low_of(P) for P in random.Random(2019).sample(cones4, len(cones4) // 6)]
+    for z in zs:
+        assert chi(z) == chi_by_faces(z), z
+
+
+def test_chi_matches_face_route_on_families():
+    rng = random.Random(2020)
+    zs = [family(name, 4, rng) for name in FAMILIES for _ in range(2)]
+    zs += [family(name, 5, rng) for name in ("cone", "minkowski_cone")]
+    for z in zs:
+        assert chi(z) == chi_by_faces(z), z
+
+
+def _values(p, n):
+    """p at 0..n, as ints: chi counts chains there."""
+    out = [p.eval_at(x) for x in range(n + 1)]
+    assert all(v.denominator == 1 for v in out)
+    return [v.numerator for v in out]
+
+
+def test_chi_coproduct_identity():
+    # chi(z)(x + y) is the sum over finite S of chi(z|S)(x) * chi(z/S)(y);
+    # both sides have degree at most n in x and in y, so the grid of
+    # 0 <= x, y <= n settles it
+    rng = random.Random(2021)
+    zs = [family(name, n, rng) for n in (3, 5, 7) for name in FAMILIES if name != "permutahedron"]
+    for z in zs + [permutahedron(list(range(8, 0, -1)))]:
+        n = z.ground.n
+        terms = [(_values(chi(a), n), _values(chi(b), n)) for _, (a, b) in full_coproduct(z)]
+        p = _values(chi(z), 2 * n)
+        for x in range(n + 1):
+            for y in range(n + 1):
+                assert p[x + y] == sum(u[x] * v[y] for u, v in terms), (z, x, y)
+
+
+def test_chi_internal_coproduct_identity():
+    # chi(z)(x * y) is the sum over conforming P of
+    # chi(face_fn(z, P))(x) * chi(cone_fn(z, P))(y)
+    rng = random.Random(2022)
+    for name in FAMILIES:
+        z = family(name, 4, rng)
+        terms = [(c, _values(chi(f), 4), _values(chi(g), 4)) for c, (f, g) in internal_delta(z)]
+        p = _values(chi(z), 16)
+        for x in range(5):
+            for y in range(5):
+                assert p[x * y] == sum(c * u[x] * v[y] for c, u, v in terms), (name, x, y)
+
+
+def test_chi_at_minus_one_counts_min_faces():
+    # every smallest face has deg chi bubbles and adds (-1)^deg to chi(-1);
+    # deg chi is n exactly when the smallest faces are points
+    rng = random.Random(2023)
+    zs = small_corpus() + big_corpus()
+    zs += [family(name, n, rng) for n in (2, 3, 4) for name in FAMILIES]
+    for n in range(4):
+        zs += [low_of(P) for P in enumerate_preorders(_letters(n))]
+    for z in zs:
+        p = chi(z)
+        assert (-1) ** p.degree * p.eval_at(-1) == len(min_faces(z)), z
+
+
+def test_chi_soft_cap(hexagon):
+    # n <= 12 passes by default: criterion 03 takes the permutahedron to n=10
+    with pytest.raises(CapExceeded):
+        chi(low_of(discrete(_letters(13))))
+    with pytest.raises(CapExceeded):
+        chi(hexagon, max_n=2)
+    assert chi(hexagon, max_n=3) == RationalPoly([0, 2, -3, 1])

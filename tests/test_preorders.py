@@ -123,6 +123,15 @@ def test_enumeration_caps():
         enumerate_preorders(g)
 
 
+def test_max_n_only_lowers_the_preorder_cap(abc):
+    # 7 points would take hours to enumerate, so max_n must not lift the cap
+    with pytest.raises(CapExceeded):
+        enumerate_preorders(GroundSet([chr(97 + i) for i in range(7)]), max_n=10)
+    with pytest.raises(CapExceeded):
+        enumerate_preorders(abc, max_n=2)
+    assert len(enumerate_preorders(abc, max_n=3)) == 29
+
+
 def test_preorder_leq(abc):
     assert preorder_leq(discrete(abc), chain(abc))
     assert preorder_leq(vpo(abc), coarse(abc))
