@@ -7,11 +7,11 @@ from .values import ExtValue, INF, fin
 from .submod import (
     SubmodFn,
     corestrict,
-    ctop_components,
     decompose,
     from_finite,
     is_modular,
     is_submodular,
+    minor,
     product,
     restrict,
     unit_fn,
@@ -39,6 +39,7 @@ from .preorders import (
     meet,
     opposite,
     preo_of,
+    preorder_of_sets,
     preorder_leq,
     subdivisions,
 )

@@ -32,11 +32,12 @@ def soft_cap(override=None):
         raise ValidationError(f"{_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def preorder_cap(override=None):
-    """Cap of full preorder enumeration: an explicit override may only lower it."""
+def preorder_cap(cap, override=None):
+    """Cap of a full (total) preorder enumeration: an explicit override may
+    only lower it."""
     if override is None:
-        return PREORDER_ENUM_CAP
-    return min(int(override), PREORDER_ENUM_CAP)
+        return cap
+    return min(int(override), cap)
 
 
 def check_table(n):

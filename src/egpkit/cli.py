@@ -24,6 +24,7 @@ from .errors import CapExceeded, UnboundedDirection, ValidationError
 from .generators import (
     BuildingSet,
     b_forests,
+    default_labels,
     graph_building_set,
     matroid_rank,
     nestohedron,
@@ -208,7 +209,7 @@ def cmd_gen(args):
         if len(params) != 1 or ":" not in params[0]:
             raise ValidationError("usage: gen preorder-cone chain:<n>|discrete:<n>")
         shape, count = params[0].split(":", 1)
-        ground = GroundSet(_default_labels(int(count)))
+        ground = GroundSet(default_labels(int(count)))
         if shape == "chain":
             z = preorder_cone(chain(ground))
         elif shape == "discrete":
@@ -227,12 +228,6 @@ def cmd_gen(args):
     doc = io.submodfn_to_doc(z)
     _emit(args, doc, [io.dump_document(doc)])
     return 0
-
-
-def _default_labels(n):
-    from .generators import default_labels
-
-    return default_labels(n)
 
 
 def cmd_oracle(args):
@@ -295,16 +290,17 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="egpkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, capped=False):
         if with_input:
             p.add_argument("input", nargs="?", default="-", help="document path or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--max-n", type=int, default=None, dest="max_n")
+        if capped:
+            p.add_argument("--max-n", type=int, default=None, dest="max_n")
 
     common(sub.add_parser("check", help="submodular/modular/decomposition report"))
     common(sub.add_parser("pre", help="finite-support preorder of a function"))
-    common(sub.add_parser("faces", help="full face lattice"))
-    common(sub.add_parser("min-faces", help="smallest faces"))
+    common(sub.add_parser("faces", help="full face lattice"), capped=True)
+    common(sub.add_parser("min-faces", help="smallest faces"), capped=True)
 
     p = sub.add_parser("closure", help="conforming preorder of the face of a preorder")
     p.add_argument("zfile")
@@ -318,22 +314,22 @@ def build_parser():
     p.add_argument("--split", required=True, help="comma-separated labels of the down-set")
     common(p, with_input=False)
 
-    common(sub.add_parser("chi", help="canonical polynomial invariant"))
+    common(sub.add_parser("chi", help="canonical polynomial invariant"), capped=True)
 
     p = sub.add_parser("ehrhart", help="lattice point polynomial of a preorder")
     p.add_argument("--weak", action="store_true", help="weak count instead of strict")
-    common(p)
+    common(p, capped=True)
 
     p = sub.add_parser("coproduct", help="restriction/corestriction split")
     p.add_argument("--split", required=True, help="comma-separated labels (empty for the empty set)")
     common(p)
 
-    common(sub.add_parser("delta", help="face-cone coaction sum"))
-    common(sub.add_parser("phi", help="sum of cone functions over smallest faces"))
+    common(sub.add_parser("delta", help="face-cone coaction sum"), capped=True)
+    common(sub.add_parser("phi", help="sum of cone functions over smallest faces"), capped=True)
 
     p = sub.add_parser("bforests", help="forests of a building set")
     p.add_argument("members", nargs="+", help="members as comma-joined label lists")
-    common(p, with_input=False)
+    common(p, with_input=False, capped=True)
 
     p = sub.add_parser("gen", help="generate an example family")
     p.add_argument("family")
@@ -371,7 +367,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValidationError, UnboundedDirection, OSError) as e:
+    except (ValidationError, UnboundedDirection, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

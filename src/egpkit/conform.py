@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from . import caps
 from .errors import ValidationError
-from .ground import bit_indices, expand_mask, reindex_map
+from .ground import bit_indices, expand_mask, project_mask, reindex_map
 from .preorders import (
-    DownSetFamily,
     Preorder,
     bubble_masks,
     component_masks,
@@ -18,31 +17,17 @@ from .preorders import (
     enumerate_total_preorders,
     from_relations,
     is_downset,
-    preo_of,
     preorder_leq,
+    preorder_of_sets,
     restrict_preorder,
 )
-from .submod import SubmodFn, decompose
+from .submod import SubmodFn, decompose, minor
 from .values import INF, ZERO
 
 
 def pre_of(z: SubmodFn) -> Preorder:
-    """The preorder whose down-sets are exactly the finite-valued subsets.
-
-    The down-set of j is the intersection of the finite sets that contain
-    j. Every finite set is then a down-set, so the finite sets are all of
-    them exactly when the two counts agree.
-    """
-    n = z.ground.n
-    finite = [m for m in z.ground.subsets() if z.table[m].is_finite]
-    dn = [z.ground.full] * n
-    for m in finite:
-        for j in bit_indices(m):
-            dn[j] &= m
-    P = Preorder(z.ground, [sum(1 << j for j in range(n) if dn[j] >> i & 1) for i in range(n)])
-    if len(downset_masks(P)) != len(finite):
-        raise ValidationError("family not closed under union/intersection")
-    return P
+    """The preorder whose down-sets are exactly the finite-valued subsets."""
+    return preorder_of_sets(z.ground, [m for m in z.ground.subsets() if z.table[m].is_finite])
 
 
 def cpre_of(z: SubmodFn) -> Preorder:
@@ -104,20 +89,16 @@ def z_of_convex(z: SubmodFn, P: Preorder, c: int) -> SubmodFn:
     """The piece function on a convex set, via its canonical presentation
     (down-closure of the set and that minus the set)."""
     _same_ground(P, z)
-    dn = opposite_rows(P)
+    dn = P.dn_rows()
     b = c
     for i in bit_indices(c):
         b |= dn[i]
     a = b & ~c
     if not is_downset(P, a):
         raise ValidationError("set is not convex in the preorder")
-    za = z.table[a]
-    if not za.is_finite:
+    if not z.table[a].is_finite:
         raise ValidationError("piece function needs finite value below the set")
-    sub = z.ground.restricted(c)
-    pos = reindex_map(z.ground, sub)
-    table = [z.table[a | expand_mask(m, pos)] - za for m in range(1 << sub.n)]
-    out = SubmodFn(sub, table)
+    out = minor(z, a, b)
     if __debug__:
         _check_presentation_free(z, P, c, out)
     return out
@@ -137,25 +118,28 @@ def _check_presentation_free(z, P, c, out):
             assert alt == out.table[m], "piece function depends on presentation"
 
 
+def _pieces(z: SubmodFn, P: Preorder):
+    """(piece function, ground positions of its elements) per bubble."""
+    out = []
+    for c in bubble_masks(P):
+        zc = z_of_convex(z, P, c)
+        out.append((zc, reindex_map(z.ground, zc.ground)))
+    return out
+
+
+def _piece_sum(pieces, m: int):
+    """The sum over the bubbles of each piece function on its part of m."""
+    total = ZERO
+    for zc, pos in pieces:
+        total = total + zc.table[project_mask(m, pos)]
+    return total
+
+
 def face_fn(z: SubmodFn, P: Preorder) -> SubmodFn:
     """Sum of the piece functions over the bubbles, as one table."""
     _same_ground(P, z)
-    pieces = []
-    for c in bubble_masks(P):
-        zc = z_of_convex(z, P, c)
-        pos = reindex_map(z.ground, zc.ground)
-        pieces.append((c, zc, pos))
-    table = []
-    for m in z.ground.subsets():
-        v = ZERO
-        for c, zc, pos in pieces:
-            local = 0
-            for k, p in enumerate(pos):
-                if m >> p & 1:
-                    local |= 1 << k
-            v = v + zc.table[local]
-        table.append(v)
-    return SubmodFn(z.ground, table)
+    pieces = _pieces(z, P)
+    return SubmodFn(z.ground, [_piece_sum(pieces, m) for m in z.ground.subsets()])
 
 
 def cone_fn(z: SubmodFn, P: Preorder) -> SubmodFn:
@@ -208,42 +192,20 @@ def closure(z: SubmodFn, P: Preorder) -> Preorder:
     of that bubble's indecomposable blocks.
     """
     _same_ground(P, z)
-    pieces = []
-    for c in bubble_masks(P):
-        zc = z_of_convex(z, P, c)
-        pos = reindex_map(z.ground, zc.ground)
-        blocks = [expand_mask(m, pos) for m in decompose(zc)]
-        pieces.append((c, zc, pos, blocks))
-    opens = []
-    for m in z.ground.subsets():
-        if not z.table[m].is_finite:
-            continue
-        total = ZERO
-        ok = True
-        for c, zc, pos, blocks in pieces:
-            inter = m & c
-            for blk in blocks:
-                if inter & blk not in (0, blk):
-                    ok = False
-                    break
-            if not ok:
-                break
-            local = 0
-            for k, p in enumerate(pos):
-                if m >> p & 1:
-                    local |= 1 << k
-            total = total + zc.table[local]
-        if ok and total == z.table[m]:
-            opens.append(m)
-    result = preo_of(DownSetFamily(z.ground, opens))
+    pieces = _pieces(z, P)
+    blocks = [expand_mask(m, pos) for zc, pos in pieces for m in decompose(zc)]
+    opens = [
+        m
+        for m in z.ground.subsets()
+        if z.table[m].is_finite
+        and all(m & blk in (0, blk) for blk in blocks)
+        and _piece_sum(pieces, m) == z.table[m]
+    ]
+    result = preorder_of_sets(z.ground, opens)
     if __debug__:
         assert preorder_leq(result, P), "closure must refine its input"
         assert is_conforming(result, z), "closure result must conform"
     return result
-
-
-def opposite_rows(P: Preorder):
-    return P.dn_rows()
 
 
 class Face:
@@ -300,7 +262,7 @@ def conforming_preorders(z: SubmodFn, max_n=None):
     if cached is not None:
         return list(cached)
     seen = {}
-    for L in enumerate_total_preorders(z.ground, max_n=z.ground.n):
+    for L in enumerate_total_preorders(z.ground):
         if not all(z.table[m].is_finite for m in downset_masks(L)):
             continue
         P = closure(z, L)

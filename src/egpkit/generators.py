@@ -305,7 +305,8 @@ def is_b_forest(P: Preorder, B: BuildingSet) -> bool:
 
 
 def b_forests(B: BuildingSet, max_n=None):
-    caps.check_enum(B.ground.n, caps.preorder_cap(max_n), "forest enumeration")
+    cap = caps.preorder_cap(caps.PREORDER_ENUM_CAP, max_n)
+    caps.check_enum(B.ground.n, cap, "forest enumeration")
     return [P for P in enumerate_preorders(B.ground, max_n) if is_b_forest(P, B)]
 
 

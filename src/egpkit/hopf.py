@@ -153,8 +153,7 @@ def counit_eps(z: SubmodFn) -> Fraction:
     if not is_modular(z):
         raise ValidationError("the counit is defined on modular functions only")
     P = pre_of(z)
-    dn = P.dn_rows()
-    return Fraction(1) if tuple(dn) == P.up else Fraction(0)
+    return Fraction(tuple(P.dn_rows()) == P.up)
 
 
 def preorder_delta(P: Preorder, max_n=None) -> FormalSum:

@@ -13,9 +13,10 @@ from . import caps
 from .conform import pre_of
 from .errors import ValidationError
 from .generators import Matroid
+from .hopf import counit_eps
 from .ground import bit_indices, submasks
 from .preorders import Preorder, bubble_masks, downset_masks
-from .submod import SubmodFn, is_modular
+from .submod import SubmodFn, is_modular, minor
 
 
 class RationalPoly:
@@ -188,12 +189,9 @@ def chi(z: SubmodFn, max_n=None) -> RationalPoly:
 
 
 def _basic_character(z: SubmodFn) -> int:
-    """1 when the polyhedron is an affine subspace: modular with an
-    equivalence as its finite-support preorder."""
-    if not is_modular(z):
-        return 0
-    P = pre_of(z)
-    return 1 if tuple(P.dn_rows()) == P.up else 0
+    """1 when the polyhedron is an affine subspace: the counit, extended by
+    0 to functions that are not modular."""
+    return int(counit_eps(z)) if is_modular(z) else 0
 
 
 def _flag_factor_character(z: SubmodFn, a: int, b: int):
@@ -201,19 +199,7 @@ def _flag_factor_character(z: SubmodFn, a: int, b: int):
     None marks an undefined (infinite-value) piece, killing the term."""
     if not (z.table[a].is_finite and z.table[b].is_finite):
         return None
-    sub = z.ground.restricted(b & ~a)
-    pos = [z.ground.index[x] for x in sub.labels]
-    table = []
-    for m in range(1 << sub.n):
-        glob = a
-        for k, p in enumerate(pos):
-            if m >> k & 1:
-                glob |= 1 << p
-        table.append(z.table[glob] - z.table[a])
-    if not table[-1].is_finite:
-        return None
-    w = SubmodFn(sub, table)
-    return _basic_character(w)
+    return _basic_character(minor(z, a, b))
 
 
 def chi_character(z: SubmodFn, n: int, extended=False) -> Fraction:

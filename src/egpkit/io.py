@@ -21,6 +21,16 @@ def _set_list(ground: GroundSet, mask: int):
     return sorted(ground.members(mask))
 
 
+_NOUNS = {str: "strings", list: "lists", dict: "objects"}
+
+
+def _list(x, what, item=object):
+    """x itself, when it is a list whose entries all have the given type."""
+    if not isinstance(x, list) or not all(isinstance(v, item) for v in x):
+        raise ValidationError(f"{what} must be a list of {_NOUNS.get(item, 'values')}")
+    return x
+
+
 def submodfn_to_doc(z: SubmodFn) -> dict:
     finite = []
     for m in z.ground.subsets():
@@ -30,10 +40,10 @@ def submodfn_to_doc(z: SubmodFn) -> dict:
 
 
 def submodfn_from_doc(doc: dict) -> SubmodFn:
-    ground = GroundSet(doc["ground"])
+    ground = GroundSet(_list(doc["ground"], "ground", str))
     table = {}
-    for entry in doc.get("finite", []):
-        mask = ground.mask_of(entry["set"])
+    for entry in _list(doc.get("finite", []), "finite", dict):
+        mask = ground.mask_of(_list(entry["set"], "set", str))
         if mask == 0:
             if parse_fraction(entry["value"]) != 0:
                 raise ValidationError("the empty set may only carry the value 0")
@@ -55,8 +65,11 @@ def preorder_to_doc(P: Preorder) -> dict:
 
 
 def preorder_from_doc(doc: dict) -> Preorder:
-    ground = GroundSet(doc["ground"])
-    return from_relations(ground, [tuple(p) for p in doc.get("relations", [])])
+    ground = GroundSet(_list(doc["ground"], "ground", str))
+    pairs = [_list(p, "a relation", str) for p in _list(doc.get("relations", []), "relations")]
+    if any(len(p) != 2 for p in pairs):
+        raise ValidationError("a relation must be a pair of labels")
+    return from_relations(ground, pairs)
 
 
 def polynomial_to_doc(p: RationalPoly) -> dict:
@@ -64,7 +77,7 @@ def polynomial_to_doc(p: RationalPoly) -> dict:
 
 
 def polynomial_from_doc(doc: dict) -> RationalPoly:
-    return RationalPoly([parse_fraction(c) for c in doc["coeffs"]])
+    return RationalPoly([parse_fraction(c) for c in _list(doc["coeffs"], "coeffs")])
 
 
 def facelattice_to_doc(L: FaceLattice) -> dict:
@@ -92,9 +105,9 @@ def formalsum_to_doc(s: FormalSum) -> dict:
 
 def formalsum_from_doc(doc: dict) -> FormalSum:
     out = FormalSum.zero()
-    for t in doc["terms"]:
+    for t in _list(doc["terms"], "terms", dict):
         factors = []
-        for f in t["factors"]:
+        for f in _list(t["factors"], "factors", dict):
             if f.get("kind") == "submodfn":
                 factors.append(submodfn_from_doc(f))
             elif f.get("kind") == "preorder":
@@ -118,10 +131,12 @@ def parse_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON at line {e.lineno}, column {e.colno}") from e
+    except (ValueError, RecursionError) as e:  # an integer too long, or nesting too deep
+        raise ValidationError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError("document must be an object with a 'kind' field")
     kind = doc["kind"]
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise ValidationError(f"unsupported document kind {kind!r}")
     try:
         return _PARSERS[kind](doc)

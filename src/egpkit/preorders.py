@@ -11,7 +11,7 @@ from itertools import permutations
 
 from . import caps
 from .errors import ValidationError
-from .ground import GroundSet, bit_indices, reindex_map
+from .ground import GroundSet, bit_indices, project_mask, reindex_map
 
 
 class Preorder:
@@ -73,15 +73,7 @@ class Preorder:
     def canonical_key(self):
         labels = self.ground.sorted_labels()
         pos = [self.ground.index[x] for x in labels]
-        rows = tuple(
-            sum(
-                1 << k
-                for k, q in enumerate(pos)
-                if self.up[p] >> q & 1
-            )
-            for p in pos
-        )
-        return (labels, rows)
+        return (labels, tuple(project_mask(self.up[p], pos) for p in pos))
 
     def dn_rows(self):
         """dn[i] = bitmask of all j with j below-or-equal i."""
@@ -153,15 +145,28 @@ def downsets(P: Preorder) -> DownSetFamily:
     return DownSetFamily(P.ground, downset_masks(P))
 
 
+def preorder_of_sets(ground: GroundSet, sets) -> Preorder:
+    """The preorder whose down-sets are exactly the given distinct sets.
+
+    The down-set of j is the intersection of the sets that contain j.
+    Every set is then a down-set, so the sets are all of them exactly
+    when the two counts agree; otherwise they are not closed under union
+    and intersection, and this raises ValidationError.
+    """
+    n = ground.n
+    dn = [ground.full] * n
+    for m in sets:
+        for j in bit_indices(m):
+            dn[j] &= m
+    P = Preorder(ground, [sum(1 << j for j in range(n) if dn[j] >> i & 1) for i in range(n)])
+    if len(downset_masks(P)) != len(sets):
+        raise ValidationError("family not closed under union/intersection")
+    return P
+
+
 def preo_of(T: DownSetFamily) -> Preorder:
-    """i below j iff every member containing j also contains i."""
-    n = T.ground.n
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if all(not (m >> j & 1) or (m >> i & 1) for m in T.sets):
-                up[i] |= 1 << j
-    return Preorder(T.ground, up)
+    """The preorder whose down-sets are the members of T."""
+    return preorder_of_sets(T.ground, T.sets)
 
 
 def from_relations(ground: GroundSet, pairs) -> Preorder:
@@ -276,33 +281,17 @@ def component_masks(P: Preorder):
 def restrict_preorder(P: Preorder, mask: int) -> Preorder:
     sub = P.ground.restricted(mask)
     pos = reindex_map(P.ground, sub)
-    up = []
-    for p in pos:
-        row = 0
-        for k, q in enumerate(pos):
-            if P.up[p] >> q & 1:
-                row |= 1 << k
-        up.append(row)
-    return Preorder(sub, up)
+    return Preorder(sub, [project_mask(P.up[p], pos) for p in pos])
 
 
 def is_convex(P: Preorder, mask: int) -> bool:
     """x <= z <= y with x, y in the set forces z in the set."""
+    dn = P.dn_rows()
     for i in bit_indices(mask):
         for j in bit_indices(P.up[i] & mask):
-            between = P.up[i] & opposite_row(P, j)
-            if between & ~mask:
+            if P.up[i] & dn[j] & ~mask:
                 return False
     return True
-
-
-def opposite_row(P: Preorder, j: int) -> int:
-    """Mask of elements below-or-equal j."""
-    out = 0
-    for i in range(P.ground.n):
-        if P.up[i] >> j & 1:
-            out |= 1 << i
-    return out
 
 
 def convex_masks(P: Preorder):
@@ -393,7 +382,8 @@ def enumerate_preorders(ground: GroundSet, max_n=None):
     consistency condition (j in D_i forces D_j inside D_i) is exactly
     reflexivity plus transitivity.
     """
-    caps.check_enum(ground.n, caps.preorder_cap(max_n), "preorder enumeration")
+    cap = caps.preorder_cap(caps.PREORDER_ENUM_CAP, max_n)
+    caps.check_enum(ground.n, cap, "preorder enumeration")
     n = ground.n
     out = []
     dn = [0] * n
@@ -429,7 +419,7 @@ def enumerate_preorders(ground: GroundSet, max_n=None):
 
 def enumerate_total_preorders(ground: GroundSet, max_n=None):
     """All ordered set partitions of the ground set, as total preorders."""
-    cap = caps.TOTAL_PREORDER_ENUM_CAP if max_n is None else max_n
+    cap = caps.preorder_cap(caps.TOTAL_PREORDER_ENUM_CAP, max_n)
     caps.check_enum(ground.n, cap, "total preorder enumeration")
     out = []
 

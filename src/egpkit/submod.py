@@ -1,6 +1,6 @@
 """Set functions valued in Q with infinity: storage, structural checks,
-restriction, corestriction, products, and decomposition into
-indecomposable factors.
+minors (restriction and corestriction among them), products, and
+decomposition into indecomposable factors.
 """
 
 from __future__ import annotations
@@ -144,22 +144,25 @@ def is_modular(z: SubmodFn) -> bool:
     return True
 
 
-def restrict(z: SubmodFn, mask: int) -> SubmodFn:
-    sub = z.ground.restricted(mask)
+def minor(z: SubmodFn, a: int, b: int) -> SubmodFn:
+    """The minor z(a | U) - z(a) on the elements of b minus a: every piece
+    function of a face, the restriction to b when a is empty, and the
+    contraction of a when b is the ground set."""
+    za = z.table[a]
+    if not za.is_finite:
+        raise ValidationError("a minor needs a finite value on its base set")
+    sub = z.ground.restricted(b & ~a)
     pos = reindex_map(z.ground, sub)
-    table = [z.table[expand_mask(m, pos)] for m in range(1 << sub.n)]
-    return SubmodFn(sub, table)
+    return SubmodFn(sub, [z.table[a | expand_mask(m, pos)] - za for m in range(1 << sub.n)])
+
+
+def restrict(z: SubmodFn, mask: int) -> SubmodFn:
+    return minor(z, 0, mask)
 
 
 def corestrict(z: SubmodFn, mask: int) -> SubmodFn:
     """z_{/S}(U) = z(S | U) - z(S) on the complement of S."""
-    zs = z.table[mask]
-    if not zs.is_finite:
-        raise ValidationError("corestriction needs a finite value on the base set")
-    sub = z.ground.restricted(z.ground.full & ~mask)
-    pos = reindex_map(z.ground, sub)
-    table = [z.table[mask | expand_mask(m, pos)] - zs for m in range(1 << sub.n)]
-    return SubmodFn(sub, table)
+    return minor(z, mask, z.ground.full)
 
 
 def product(u: SubmodFn, v: SubmodFn) -> SubmodFn:
@@ -216,11 +219,6 @@ def decompose(z: SubmodFn):
         split(z.ground.full)
     blocks.sort(key=lambda m: m & -m)
     return blocks
-
-
-def ctop_components(z: SubmodFn):
-    """Partition of the ground set into the blocks of decompose, as masks."""
-    return decompose(z)
 
 
 def decompose_factors(z: SubmodFn):

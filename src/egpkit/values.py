@@ -128,6 +128,8 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValidationError(f"a rational must be a string such as \"3/2\", not {type(s).__name__}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:

@@ -1,11 +1,15 @@
 import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egpkit import chain, from_relations, low_of, zfn_equal
-from egpkit.cli import main
+from egpkit.cli import build_parser, main
 from egpkit.io import (
     dump_document,
     parse_document,
@@ -262,3 +266,109 @@ def test_chi_honours_max_n(capsys, tmp_path):
     assert err.count("\n") == 1 and "error:" in err
     code, out, _ = run(capsys, ["chi", str(path), "--max-n", "4"])
     assert code == 0 and json.loads(out)["kind"] == "polynomial"
+
+
+def test_flag_max_n_only_where_a_cap_reads_it(capsys, tmp_path, abc):
+    zpath = hexagon_doc(tmp_path)
+    ppath = tmp_path / "p.json"
+    ppath.write_text(dump_document(preorder_to_doc(chain(abc))))
+    ignored = [
+        ["check", zpath],
+        ["pre", zpath],
+        ["closure", zpath, str(ppath)],
+        ["glue", zpath, str(ppath), str(ppath), "--split", "a"],
+        ["coproduct", "--split", "a", zpath],
+        ["gen", "permutahedron", "3,2,1"],
+        ["oracle"],
+    ]
+    for argv in ignored:
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--max-n", "3"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --max-n 3" in capsys.readouterr().err
+    parser = build_parser()
+    for argv in (["faces"], ["min-faces"], ["chi"], ["delta"], ["phi"], ["ehrhart"], ["bforests", "a"]):
+        assert parser.parse_args(argv + ["--max-n", "3"]).max_n == 3
+
+
+MALFORMED = [
+    '{"kind": "submodfn", "ground": ["a"], "finite": [{"set": ["a"], "value": 3}]}',
+    '{"kind": "preorder", "ground": ["a", "b"], "relations": [["a"]]}',
+    '{"kind": "submodfn", "ground": ["a"], "finite": [["a"]]}',
+    '{"kind": "submodfn", "ground": ["a", "b"], "finite": [{"set": "ab", "value": "1"}]}',
+    '{"kind": "submodfn", "ground": "ab", "finite": [{"set": ["a", "b"], "value": "1"}]}',
+]
+
+
+def test_malformed_documents_end_in_one_line(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for text in MALFORMED:
+        path.write_text(text)
+        command = "ehrhart" if '"preorder"' in text else "check"
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 1 and out == "", text
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+    path.write_bytes(b"\xdc\x00 not text")
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1
+
+
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from(["a", "b", "1", "-1/2", "inf", "1/0", ""])
+)
+_ANY = st.recursive(
+    _LEAF,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "ground", "set", "value", "terms"]), kids, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _or_any(good):
+    return st.one_of(good, good, good, _ANY)
+
+
+_LABELS = st.sampled_from([[], ["a"], ["b"], ["a", "b"], ["b", "a"], ["a", "a"], ["c"]])
+_VALUES = st.sampled_from(["0", "1", "2", "3/2", "-1", "x"])
+_SUBMODFN = st.fixed_dictionaries({
+    "kind": st.just("submodfn"),
+    "ground": _or_any(_LABELS),
+    "finite": _or_any(st.lists(
+        _or_any(st.fixed_dictionaries({"set": _or_any(_LABELS), "value": _or_any(_VALUES)})),
+        max_size=4,
+    )),
+})
+_PREORDER = st.fixed_dictionaries({
+    "kind": st.just("preorder"),
+    "ground": _or_any(_LABELS),
+    "relations": _or_any(st.lists(_or_any(st.lists(st.sampled_from(["a", "b"]), min_size=2, max_size=2)), max_size=3)),
+})
+_DOCS = st.one_of(
+    _SUBMODFN,
+    _PREORDER,
+    st.fixed_dictionaries({"kind": st.just("polynomial"), "coeffs": _or_any(st.lists(_VALUES, max_size=3))}),
+    st.fixed_dictionaries({
+        "kind": st.just("formalsum"),
+        "terms": _or_any(st.lists(_or_any(st.fixed_dictionaries({
+            "coeff": _or_any(_VALUES),
+            "factors": _or_any(st.lists(st.one_of(_SUBMODFN, _PREORDER, _ANY), max_size=2)),
+        })), max_size=2)),
+    }),
+    _ANY,
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(doc=_DOCS, command=st.sampled_from(["check", "pre", "chi"]))
+def test_any_small_document_ends_in_an_exit_code(doc, command):
+    if isinstance(doc, dict) and doc.get("kind") == "preorder":
+        command = "ehrhart"
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "-"])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")

@@ -43,8 +43,8 @@ from egpkit.preorders import (
     downset_masks,
     enumerate_total_preorders,
     from_blocks,
-    preo_of,
 )
+from test_preorders import preorder_by_scan
 
 
 def vpo(abc):
@@ -58,9 +58,9 @@ def test_pre_of_inverts_low(abc):
 
 def _pre_of_by_family(z):
     """The family route to pre_of, its oracle: validate the finite sets as
-    a topology pairwise, then read the preorder off them."""
+    a topology pairwise, then read the preorder off them by the scan."""
     finite = [m for m in z.ground.subsets() if z.table[m].is_finite]
-    return preo_of(DownSetFamily(z.ground, finite))
+    return preorder_by_scan(DownSetFamily(z.ground, finite))
 
 
 def _outcome(route, z):

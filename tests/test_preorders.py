@@ -28,6 +28,7 @@ from egpkit import (
     opposite,
     preo_of,
     preorder_leq,
+    preorder_of_sets,
     subdivisions,
 )
 from egpkit.ground import bit_indices
@@ -96,6 +97,58 @@ def test_family_round_trip(abc):
         assert downsets(preo_of(fam)) == fam
 
 
+def preorder_by_scan(T: DownSetFamily) -> Preorder:
+    """i below j iff every member containing j also contains i: the
+    definitional route from a family to its preorder, the oracle of
+    `preorder_of_sets`."""
+    n = T.ground.n
+    up = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if all(not (m >> j & 1) or (m >> i & 1) for m in T.sets):
+                up[i] |= 1 << j
+    return Preorder(T.ground, up)
+
+
+def _family_outcomes(ground, sets):
+    """(preorder_of_sets, the scan of the pairwise-checked family), with
+    None for a family that a route rejects."""
+    try:
+        got = preorder_of_sets(ground, sets)
+    except ValidationError as e:
+        assert str(e) == "family not closed under union/intersection"
+        got = None
+    try:
+        want = preorder_by_scan(DownSetFamily(ground, sets))
+    except ValidationError:
+        want = None
+    return got, want
+
+
+def test_preorder_of_sets_matches_scan():
+    families = []
+    for n in range(5):
+        g = GroundSet([chr(97 + i) for i in range(n)])
+        families += [(g, downset_masks(P)) for P in enumerate_preorders(g)]
+    rng = random.Random(21)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        g = GroundSet([chr(97 + i) for i in range(n)])
+        if rng.random() < 0.5:  # any distinct sets
+            sets = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+        else:  # the down-sets of a random relation, one set toggled
+            P = from_relations(g, [(a, b) for a in g for b in g if rng.random() < 0.2])
+            sets = set(downset_masks(P)) ^ {rng.randrange(1 << n)}
+            sets = sorted(sets)
+        families.append((g, sets))
+    rejected = 0
+    for g, sets in families:
+        got, want = _family_outcomes(g, sets)
+        assert got == want, (g, sets)
+        rejected += got is None
+    assert 1000 < rejected < len(families) - 500
+
+
 def test_downset_family_validation(abc):
     with pytest.raises(ValidationError):
         DownSetFamily(abc, [0b000, 0b001])  # missing full set
@@ -130,6 +183,15 @@ def test_max_n_only_lowers_the_preorder_cap(abc):
     with pytest.raises(CapExceeded):
         enumerate_preorders(abc, max_n=2)
     assert len(enumerate_preorders(abc, max_n=3)) == 29
+
+
+def test_max_n_only_lowers_the_total_preorder_cap(abc):
+    # 9 points would take minutes to enumerate, so max_n must not lift the cap
+    with pytest.raises(CapExceeded):
+        enumerate_total_preorders(GroundSet([chr(97 + i) for i in range(9)]), max_n=9)
+    with pytest.raises(CapExceeded):
+        enumerate_total_preorders(abc, max_n=2)
+    assert len(enumerate_total_preorders(abc, max_n=3)) == 13
 
 
 def test_preorder_leq(abc):

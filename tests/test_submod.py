@@ -5,7 +5,6 @@ from egpkit import (
     ValidationError,
     chain,
     corestrict,
-    ctop_components,
     decompose,
     discrete,
     from_finite,
@@ -13,6 +12,7 @@ from egpkit import (
     is_modular,
     is_submodular,
     low_of,
+    minor,
     permutahedron,
     product,
     restrict,
@@ -21,6 +21,7 @@ from egpkit import (
 from egpkit.ground import submasks
 from egpkit.submod import decompose_factors, product_all, splits_along, unit_fn
 from conftest import cardinality_fn
+from test_acceptance import big_corpus, small_corpus
 
 
 def test_hexagon_is_submodular(hexagon):
@@ -125,7 +126,6 @@ def test_decompose_cardinality(abc):
 
 def test_decompose_hexagon_is_one_block(hexagon):
     assert decompose(hexagon) == [7]
-    assert ctop_components(hexagon) == [7]
 
 
 def test_decompose_disjoint_low(abc):
@@ -180,6 +180,27 @@ def test_restrict_corestrict_composition(hexagon):
                 ],
             )
             assert via == direct
+
+
+def test_minor_matches_its_definition():
+    # w(U) = z(a | U) - z(a), read through labels; a needs a finite value,
+    # and b one too, since a function is finite on its whole ground set
+    checked = 0
+    for z in small_corpus() + big_corpus():
+        g = z.ground
+        for b in g.subsets():
+            for a in submasks(b):
+                if not (z.table[a].is_finite and z.table[b].is_finite):
+                    with pytest.raises(ValidationError):
+                        minor(z, a, b)
+                    continue
+                w = minor(z, a, b)
+                assert w.ground.labels == tuple(g.members(b & ~a))
+                for u in w.ground.subsets():
+                    want = z.value_of(g.members(a) + w.ground.members(u)) - z.table[a]
+                    assert w.table[u] == want
+                checked += 1
+    assert checked > 400
 
 
 def test_operations_preserve_submodularity(hexagon, pentagon, abc):
