@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import io
 from .conform import (
@@ -17,6 +16,7 @@ from .conform import (
     conforming_preorders,
     enumerate_faces,
     glue,
+    is_compatible,
     min_faces,
     pre_of,
 )
@@ -37,6 +37,7 @@ from .hopf import coproduct_delta, internal_delta, phi
 from .invariants import chi, ehr, ehr_star
 from .preorders import Preorder, chain, discrete, enumerate_preorders
 from .submod import SubmodFn, decompose, is_modular, is_submodular
+from .values import parse_count, parse_fraction
 
 
 def _read_doc(path, want=None):
@@ -45,6 +46,14 @@ def _read_doc(path, want=None):
     if want is not None and not isinstance(obj, want):
         raise ValidationError(f"expected a {want.__name__} document")
     return obj
+
+
+def _read_submodular(path):
+    """A function document for a command whose result assumes submodularity."""
+    z = _read_doc(path, SubmodFn)
+    if not is_submodular(z):
+        raise ValidationError("function is not submodular")
+    return z
 
 
 def _emit(args, json_doc, text_lines):
@@ -90,7 +99,7 @@ def _preorder_text(P: Preorder):
 
 
 def cmd_faces(args):
-    z = _read_doc(args.input, SubmodFn)
+    z = _read_submodular(args.input)
     lat = enumerate_faces(z, max_n=args.max_n)
     doc = io.facelattice_to_doc(lat)
     fv = ",".join(str(c) for c in lat.f_vector())
@@ -102,7 +111,7 @@ def cmd_faces(args):
 
 
 def cmd_min_faces(args):
-    z = _read_doc(args.input, SubmodFn)
+    z = _read_submodular(args.input)
     faces = min_faces(z, max_n=args.max_n)
     doc = {
         "kind": "facelattice",
@@ -117,15 +126,17 @@ def cmd_min_faces(args):
 
 
 def cmd_closure(args):
-    z = _read_doc(args.zfile, SubmodFn)
+    z = _read_submodular(args.zfile)
     P = _read_doc(args.pfile, Preorder)
+    if not is_compatible(P, z):
+        raise ValidationError("preorder is not compatible with the function")
     R = closure(z, P)
     _emit(args, io.preorder_to_doc(R), [_preorder_text(R)])
     return 0
 
 
 def cmd_glue(args):
-    z = _read_doc(args.zfile, SubmodFn)
+    z = _read_submodular(args.zfile)
     P1 = _read_doc(args.p1, Preorder)
     P2 = _read_doc(args.p2, Preorder)
     s_mask = z.ground.mask_of(_split_labels(args.split))
@@ -139,7 +150,7 @@ def _split_labels(arg):
 
 
 def cmd_chi(args):
-    z = _read_doc(args.input, SubmodFn)
+    z = _read_submodular(args.input)
     p = chi(z, max_n=args.max_n)
     lines = [
         f"chi = {io.poly_text(p)}",
@@ -165,14 +176,14 @@ def cmd_coproduct(args):
 
 
 def cmd_delta(args):
-    z = _read_doc(args.input, SubmodFn)
+    z = _read_submodular(args.input)
     s = internal_delta(z, max_n=args.max_n)
     _emit(args, io.formalsum_to_doc(s), [f"terms: {len(s)}"])
     return 0
 
 
 def cmd_phi(args):
-    z = _read_doc(args.input, SubmodFn)
+    z = _read_submodular(args.input)
     s = phi(z, max_n=args.max_n)
     _emit(args, io.formalsum_to_doc(s), [f"terms: {len(s)}"])
     return 0
@@ -204,12 +215,12 @@ def cmd_gen(args):
     if family == "permutahedron":
         if len(params) != 1:
             raise ValidationError("usage: gen permutahedron <l1,l2,...>")
-        z = permutahedron([Fraction(x) for x in params[0].split(",")])
+        z = permutahedron([parse_fraction(x) for x in params[0].split(",")])
     elif family == "preorder-cone":
         if len(params) != 1 or ":" not in params[0]:
             raise ValidationError("usage: gen preorder-cone chain:<n>|discrete:<n>")
         shape, count = params[0].split(":", 1)
-        ground = GroundSet(default_labels(int(count)))
+        ground = GroundSet(default_labels(parse_count(count)))
         if shape == "chain":
             z = preorder_cone(chain(ground))
         elif shape == "discrete":
@@ -221,8 +232,10 @@ def cmd_gen(args):
     elif family == "matroid-rank":
         if len(params) != 1 or not params[0].startswith("uniform:"):
             raise ValidationError("usage: gen matroid-rank uniform:<r>,<n>")
-        r, n = params[0].split(":", 1)[1].split(",")
-        z = matroid_rank(uniform_matroid(int(r), int(n)))
+        counts = params[0].split(":", 1)[1].split(",")
+        if len(counts) != 2:
+            raise ValidationError("usage: gen matroid-rank uniform:<r>,<n>")
+        z = matroid_rank(uniform_matroid(*map(parse_count, counts)))
     else:
         raise ValidationError(f"unknown family {family!r}")
     doc = io.submodfn_to_doc(z)

@@ -20,6 +20,7 @@ from .preorders import (
     preorder_leq,
     preorder_of_sets,
     restrict_preorder,
+    total_blocks,
 )
 from .submod import SubmodFn, decompose, minor
 from .values import INF, ZERO
@@ -209,28 +210,31 @@ def closure(z: SubmodFn, P: Preorder) -> Preorder:
 
 
 class Face:
-    __slots__ = ("z", "P", "dim", "fn")
+    __slots__ = ("z", "P", "dim")
 
     def __init__(self, z: SubmodFn, P: Preorder):
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "dim", z.ground.n - len(bubble_masks(P)))
-        object.__setattr__(self, "fn", face_fn(z, P))
 
     def __setattr__(self, *a):
         raise AttributeError("Face is immutable")
+
+    @property
+    def fn(self) -> SubmodFn:
+        """The face's own set function, computed on each access."""
+        return face_fn(self.z, self.P)
 
     def __repr__(self):
         return f"Face(dim={self.dim}, {self.P!r})"
 
 
 class FaceLattice:
-    __slots__ = ("z", "faces", "order", "covers")
+    __slots__ = ("z", "faces", "covers")
 
-    def __init__(self, z: SubmodFn, faces, order, covers):
+    def __init__(self, z: SubmodFn, faces, covers):
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "faces", tuple(faces))
-        object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "covers", tuple(covers))
 
     def __setattr__(self, *a):
@@ -255,40 +259,74 @@ _CONFORM_CACHE = {}
 
 
 def conforming_preorders(z: SubmodFn, max_n=None):
-    """All conforming preorders, as closures of compatible total preorders."""
+    """All conforming preorders of a submodular z, one closure per face:
+    the closures of the layered total preorders."""
     cap = caps.soft_cap(max_n)
     caps.check_enum(z.ground.n, min(cap, caps.TOTAL_PREORDER_ENUM_CAP), "face enumeration")
     cached = _CONFORM_CACHE.get(z)
     if cached is not None:
         return list(cached)
-    seen = {}
-    for L in enumerate_total_preorders(z.ground):
-        if not all(z.table[m].is_finite for m in downset_masks(L)):
-            continue
-        P = closure(z, L)
-        seen[P.up] = P
-    out = sorted(seen.values(), key=lambda p: p.up)
+    steps = {}
+    out = [
+        closure(z, L)
+        for L in enumerate_total_preorders(z.ground)
+        if _is_layered(z, total_blocks(L), steps)
+    ]
+    out.sort(key=lambda p: p.up)
     if len(_CONFORM_CACHE) > 4096:
         _CONFORM_CACHE.clear()
     _CONFORM_CACHE[z] = tuple(out)
     return list(out)
 
 
+def _is_layered(z: SubmodFn, blocks, steps) -> bool:
+    """Whether the total preorder with these blocks (bottom first) is the
+    one that picks out its face.
+
+    With D_i the union of the first i blocks, every D_i must be finite,
+    and each indecomposable block K of the step from D_{i-1} to D_i must
+    have z(D_{i-2} | K) infinite or gain strictly more there than on
+    D_{i-1}. On equality D_{i-2} | K is a down-set of the face, so K
+    could sit one layer lower; submodularity rules out a smaller gain.
+    `steps` keeps the blocks of each step (D_{i-1}, D_i) for the rest of
+    the enumeration.
+    """
+    t = z.table
+    d2 = d1 = 0  # D_{i-2}, D_{i-1}
+    for b in blocks:
+        d = d1 | b
+        if not t[d].is_finite:
+            return False
+        if d1:
+            ks = steps.get((d1, d))
+            if ks is None:
+                piece = minor(z, d1, d)
+                pos = reindex_map(z.ground, piece.ground)
+                ks = steps[d1, d] = [expand_mask(m, pos) for m in decompose(piece)]
+            for k in ks:
+                low = t[d2 | k]
+                if low.is_finite and not low.q - t[d2].q > t[d1 | k].q - t[d1].q:
+                    return False
+        d2, d1 = d1, d
+    return True
+
+
 def enumerate_faces(z: SubmodFn, max_n=None) -> FaceLattice:
-    pres = conforming_preorders(z, max_n)
-    faces = [Face(z, P) for P in pres]
+    """The faces, sorted by dimension and then preorder rows, and their
+    covers (i, j): face i is a facet of face j. The lattice is graded by
+    dimension, so these are the containments one dimension apart."""
+    faces = [Face(z, P) for P in conforming_preorders(z, max_n)]
     faces.sort(key=lambda f: (f.dim, f.P.up))
-    order = []
-    for i, fi in enumerate(faces):
-        for j, fj in enumerate(faces):
-            if i != j and preorder_leq(fi.P, fj.P):
-                order.append((i, j))  # face i contained in face j
-    oset = set(order)
-    covers = []
-    for i, j in order:
-        if not any((i, k) in oset and (k, j) in oset for k in range(len(faces))):
-            covers.append((i, j))
-    return FaceLattice(z, faces, order, covers)
+    by_dim = {}
+    for j, f in enumerate(faces):
+        by_dim.setdefault(f.dim, []).append(j)
+    covers = [
+        (i, j)
+        for i, fi in enumerate(faces)
+        for j in by_dim.get(fi.dim + 1, ())
+        if all(p & ~q == 0 for p, q in zip(fi.P.up, faces[j].P.up))
+    ]
+    return FaceLattice(z, faces, covers)
 
 
 def min_faces(z: SubmodFn, max_n=None):

@@ -13,9 +13,9 @@ from .ground import bit_indices, popcount
 from .preorders import (
     DownSetFamily,
     Preorder,
-    bubble_masks,
     downset_masks,
     from_blocks,
+    total_blocks,
 )
 from .submod import SubmodFn
 from .values import ExtValue
@@ -41,15 +41,6 @@ def contains(z: SubmodFn, x: dict) -> bool:
         if z.table[m].is_finite and _mask_sum(vals, m) > z.table[m].q:
             return False
     return True
-
-
-def total_blocks(L: Preorder):
-    """Bubbles of a total preorder, bottom to top."""
-    if not L.is_total():
-        raise ValidationError("expected a total preorder")
-    bubs = bubble_masks(L)
-    bubs.sort(key=lambda b: popcount(L.up[next(bit_indices(b))]), reverse=True)
-    return bubs
 
 
 def alin_point(z: SubmodFn, L: Preorder) -> dict:

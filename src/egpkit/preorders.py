@@ -11,7 +11,7 @@ from itertools import permutations
 
 from . import caps
 from .errors import ValidationError
-from .ground import GroundSet, bit_indices, project_mask, reindex_map
+from .ground import GroundSet, bit_indices, popcount, project_mask, reindex_map
 
 
 class Preorder:
@@ -260,6 +260,15 @@ def bubble_masks(P: Preorder):
         out.append(b)
         seen |= b
     return out
+
+
+def total_blocks(L: Preorder):
+    """Bubbles of a total preorder, bottom to top."""
+    if not L.is_total():
+        raise ValidationError("expected a total preorder")
+    bubs = bubble_masks(L)
+    bubs.sort(key=lambda b: popcount(L.up[next(bit_indices(b))]), reverse=True)
+    return bubs
 
 
 def component_masks(P: Preorder):

@@ -7,6 +7,7 @@ infinity is a hard error rather than a convention.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -104,13 +105,10 @@ def fin(x) -> ExtValue:
 
 
 def parse_value(s: str) -> ExtValue:
-    s = s.strip()
-    if s == "inf":
+    """A rational in the grammar of `parse_fraction`, or "inf"."""
+    if isinstance(s, str) and s.strip() == "inf":
         return INF
-    try:
-        return ExtValue(Fraction(s))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"bad rational literal {s!r}") from e
+    return ExtValue(parse_fraction(s))
 
 
 def format_value(v: ExtValue) -> str:
@@ -127,10 +125,34 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# The forms `format_value` writes: an integer, or an integer over a
+# positive one. No exponents, decimals or underscores, so that the size of
+# a value is the length of its text.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_COUNT = re.compile(r"[0-9]+")
+
+
 def parse_fraction(s: str) -> Fraction:
+    """A rational written as [+-]digits or [+-]digits/digits, with
+    surrounding whitespace ignored."""
     if not isinstance(s, str):
         raise ValidationError(f"a rational must be a string such as \"3/2\", not {type(s).__name__}")
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"bad rational literal {s!r}") from e
+    m = _RATIONAL.fullmatch(s.strip())
+    if m is not None:
+        try:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except (ValueError, ZeroDivisionError):  # over the digit limit, or n/0
+            pass
+    raise ValidationError(f"bad rational literal {s!r}")
+
+
+def parse_count(s: str) -> int:
+    """A non-negative integer written as digits, with surrounding
+    whitespace ignored."""
+    t = s.strip()
+    if _COUNT.fullmatch(t):
+        try:
+            return int(t)
+        except ValueError:  # over the digit limit
+            pass
+    raise ValidationError(f"bad count {s!r}")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egpkit import chain, from_relations, low_of, zfn_equal
+from egpkit import chain, closure, enumerate_preorders, from_finite, from_relations, is_submodular, low_of, zfn_equal
 from egpkit.cli import build_parser, main
 from egpkit.io import (
     dump_document,
@@ -130,6 +131,23 @@ def test_closure(capsys, tmp_path, abc, pentagon):
     assert doc["relations"] == [["a", "b"], ["c", "b"]]
 
 
+def test_closure_needs_a_compatible_preorder(capsys, tmp_path, abc, hexagon):
+    zpath = hexagon_doc(tmp_path)
+    ppath = tmp_path / "p.json"
+    totals = 0
+    for P in enumerate_preorders(abc):
+        ppath.write_text(dump_document(preorder_to_doc(P)))
+        code, out, err = run(capsys, ["closure", zpath, str(ppath)])
+        if P.is_total():
+            totals += 1
+            assert code == 0 and err == ""
+            assert json.loads(out) == preorder_to_doc(closure(hexagon, P))
+        else:
+            assert code == 1 and out == ""
+            assert err == "error: preorder is not compatible with the function\n"
+    assert totals == 13
+
+
 def test_glue(capsys, tmp_path, hexagon):
     zpath = tmp_path / "z.json"
     zpath.write_text(dump_document(submodfn_to_doc(hexagon)))
@@ -213,6 +231,54 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     zdoc.write_text(out)
     code, _, err = run(capsys, ["faces", str(zdoc), "--max-n", "3"])
     assert code == 2 and "error:" in err
+
+
+def test_gen_bad_numbers_end_in_one_line(capsys):
+    for params in [
+        ["permutahedron", "3,x"],
+        ["permutahedron", "1e9,1"],
+        ["permutahedron", "3,,1"],
+        ["preorder-cone", "chain:x"],
+        ["preorder-cone", "chain:-1"],
+        ["matroid-rank", "uniform:2,x"],
+        ["matroid-rank", "uniform:2"],
+    ]:
+        code, out, err = run(capsys, ["gen", *params])
+        assert code == 1 and out == "", params
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_face_commands_reject_a_function_that_is_not_submodular(capsys, tmp_path, abc):
+    # z(a) + z(b) = 2 < z(ab) + z(empty) = 3
+    values = {("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 3, ("a", "c"): 2, ("b", "c"): 2, ("a", "b", "c"): 3}
+    z = from_finite(abc, values)
+    assert not is_submodular(z)
+    zpath = tmp_path / "z.json"
+    zpath.write_text(dump_document(submodfn_to_doc(z)))
+    ppath = tmp_path / "p.json"
+    ppath.write_text(dump_document(preorder_to_doc(chain(abc))))
+    for argv in [
+        ["faces", str(zpath)],
+        ["min-faces", str(zpath)],
+        ["chi", str(zpath)],
+        ["delta", str(zpath)],
+        ["phi", str(zpath)],
+        ["closure", str(zpath), str(ppath)],
+        ["glue", str(zpath), str(ppath), str(ppath), "--split", "a"],
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err == "error: function is not submodular\n", argv
+
+
+def test_huge_exponent_value_exits_at_once(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "submodfn", "ground": ["a"], "finite": [{"set": ["a"], "value": "1e10000000"}]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["check", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_wrong_document_kind(capsys, tmp_path, abc):

@@ -44,6 +44,9 @@ from egpkit.preorders import (
     enumerate_total_preorders,
     from_blocks,
 )
+from egpkit import conform
+from conftest import FAMILIES, family
+from test_acceptance import big_corpus, small_corpus
 from test_preorders import preorder_by_scan
 
 
@@ -185,6 +188,58 @@ def test_closure_fixes_conforming_total_order(abc, hexagon):
     assert closure(hexagon, L) == L
 
 
+def conforming_by_scan(z):
+    """The closures of all total preorders with finite down-sets,
+    deduplicated and sorted: the n!-scan that `conforming_preorders`
+    narrows to one total preorder per face, its oracle. Also returns the
+    map from each of those total preorders to its closure."""
+    closed = {
+        L: closure(z, L)
+        for L in enumerate_total_preorders(z.ground)
+        if all(z.table[m].is_finite for m in downset_masks(L))
+    }
+    distinct = {P.up: P for P in closed.values()}
+    return sorted(distinct.values(), key=lambda p: p.up), closed
+
+
+def containment_by_scan(lat):
+    """All pairs (i, j) with face i inside face j, and the Hasse diagram
+    of that order: the O(F^2) scan and O(F^3) cover search behind
+    `enumerate_faces`'s covers, their oracle."""
+    order = []
+    for i, fi in enumerate(lat.faces):
+        for j, fj in enumerate(lat.faces):
+            if i != j and preorder_leq(fi.P, fj.P):
+                order.append((i, j))  # face i contained in face j
+    oset = set(order)
+    covers = []
+    for i, j in order:
+        if not any((i, k) in oset and (k, j) in oset for k in range(len(lat.faces))):
+            covers.append((i, j))
+    return order, covers
+
+
+def _cones(n):
+    return [low_of(P) for P in enumerate_preorders(GroundSet([chr(97 + i) for i in range(n)]))]
+
+
+def test_conforming_preorders_match_scan(monkeypatch):
+    rng = random.Random(23)
+    zs = small_corpus() + big_corpus() + _cones(1) + _cones(2) + _cones(3)
+    zs += [z for z in _cones(4) if rng.random() < 1 / 3]
+    zs += [family(name, 4, rng) for name in FAMILIES for _ in range(2)]
+    zs += [family(name, 5, rng) for name in ("cone", "minkowski_cone", "uniform")]
+    for z in zs:
+        want, closed = conforming_by_scan(z)
+        calls = []
+        # closure is deterministic: look up the scan's result for each call
+        # (a total preorder with an infinite down-set raises KeyError)
+        monkeypatch.setattr(conform, "closure", lambda _z, L: calls.append(L) or closed[L])
+        monkeypatch.setattr(conform, "_CONFORM_CACHE", {})
+        assert conforming_preorders(z) == want, z
+        assert len(calls) == len(want), z  # one closure per face
+
+
 def test_hexagon_face_lattice(abc, hexagon):
     lat = enumerate_faces(hexagon)
     assert len(lat.faces) == 13
@@ -196,7 +251,7 @@ def test_hexagon_face_lattice(abc, hexagon):
     by_dim = {}
     for i, f in enumerate(lat.faces):
         by_dim.setdefault(f.dim, []).append(i)
-    oset = set(lat.order)
+    oset = set(containment_by_scan(lat)[0])
     for i in by_dim[0]:
         ups = [j for j in by_dim[1] if (i, j) in oset]
         assert len(ups) == 2
@@ -214,12 +269,15 @@ def test_pentagon_face_lattice(abc, pentagon):
     assert lat.preorder_set() == filt
 
 
-def test_covers_are_covers(hexagon):
-    lat = enumerate_faces(hexagon)
-    oset = set(lat.order)
-    for i, j in lat.covers:
-        assert (i, j) in oset
-        assert lat.faces[j].dim == lat.faces[i].dim + 1
+def test_covers_are_covers(hexagon, pentagon):
+    rng = random.Random(29)
+    zs = [hexagon, pentagon] + _cones(1) + _cones(2) + _cones(3)
+    zs += [family(name, 4, rng) for name in FAMILIES]
+    for z in zs:
+        lat = enumerate_faces(z)
+        assert list(lat.covers) == containment_by_scan(lat)[1], z
+        for i, j in lat.covers:
+            assert lat.faces[j].dim == lat.faces[i].dim + 1
 
 
 def test_min_faces_of_hexagon(hexagon):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from egpkit import ExtValue, INF, ValidationError, fin
-from egpkit.values import format_value, parse_value
+from egpkit.values import format_value, parse_count, parse_fraction, parse_value
 
 
 def test_finite_arithmetic():
@@ -47,6 +47,31 @@ def test_parse_and_format():
         parse_value("abc")
     with pytest.raises(ValidationError):
         parse_value("1/0")
+
+
+def test_parse_accepts_only_the_written_forms():
+    assert parse_value("3/4") == fin(Fraction(3, 4))
+    assert parse_value("-2") == fin(-2)
+    assert parse_value(" 5 ") == fin(5)
+    assert parse_value(" inf ") == INF
+    assert parse_fraction("+6/4") == Fraction(3, 2)
+    for text in ["1e10000000", "1.5", "1_000", "3/-4", "3/ 4", "0x10", "\u0663", "inf/2", "", "/2", "2/"]:
+        with pytest.raises(ValidationError):
+            parse_fraction(text)
+        with pytest.raises(ValidationError):
+            parse_value(text)
+    with pytest.raises(ValidationError):
+        parse_fraction("inf")
+    with pytest.raises(ValidationError):
+        parse_fraction("9" * 5000)  # over Python's digit limit
+
+
+def test_parse_count():
+    assert parse_count("12") == 12
+    assert parse_count(" 0 ") == 0
+    for text in ["-1", "+1", "1/1", "1e3", "x", ""]:
+        with pytest.raises(ValidationError):
+            parse_count(text)
 
 
 def test_finite_accessor():
